@@ -8,11 +8,15 @@
  * behind the new interface is a pure re-homing of the seed behavior —
  * no timing, counter, or serialization drift.
  *
- * Three legs pin the surfaces the refactor touches:
+ * The legs pin every runner entry point:
  *   fig10  — closed-loop throughput (baseline + IDA-E20), the shape of
  *            bench/fig10_throughput at miniature scale.
  *   sector — open-loop sector-mode run with write buffer + read cache,
  *            exercising the sub-page masks and the cache hierarchy.
+ *   zns    — the closed-loop zone-append/reset host (runZnsWorkload)
+ *            on two-block zones, cycling whole zones through reset.
+ *   fleet  — a 16-member striped fleet at 2 shards (runFleetPreset),
+ *            aggregate plus every member's harvest.
  *
  * Skipped under IDA_TRACE: the attribution block serializes measured
  * phase totals there, which legitimately differ from the zeroed
@@ -28,9 +32,11 @@
 #include <sstream>
 #include <string>
 
+#include "fleet/fleet.hh"
 #include "ssd/config.hh"
 #include "trace/recorder.hh"
 #include "workload/runner.hh"
+#include "workload/zns_workload.hh"
 
 namespace ida::workload {
 namespace {
@@ -71,6 +77,49 @@ sectorLeg()
     p.synth.subPageFraction = 0.4;
     p.synth.sectorsPerPage = cfg.geometry.sectorsPerPage();
     return runPreset(cfg, p).toJson(/*include_volatile=*/false);
+}
+
+std::string
+znsLeg()
+{
+    ssd::SsdConfig cfg = ssd::SsdConfig::paperTlc();
+    cfg.ftl.enableIda = true;
+    cfg.adjustErrorRate = 0.20;
+    cfg.backend = ftl::BackendKind::Zns;
+    cfg.zns.blocksPerZone = 2;
+
+    ZnsWorkloadConfig wl;
+    wl.totalRequests = 4'000;
+    wl.utilizationTarget = 1.0; // every acquisition resets a full zone
+    wl.readFraction = 0.6;
+    return runZnsWorkload(cfg, wl, "zns-golden")
+        .toJson(/*include_volatile=*/false);
+}
+
+std::string
+fleetLeg()
+{
+    fleet::FleetConfig fc;
+    fc.device = ssd::SsdConfig::tiny();
+    fc.device.ftl.enableIda = true;
+    fc.device.adjustErrorRate = 0.20;
+    fc.devices = 16;
+    fc.stripePages = 8;
+    fc.shards = 2;
+    fc.epoch = 50 * sim::kMsec;
+    fc.fleetSeed = 99;
+
+    WorkloadPreset p;
+    p.name = "fleet-golden";
+    p.synth.footprintPages = 16 * 500;
+    p.synth.totalRequests = 2'500;
+    p.synth.duration = 4 * sim::kMin;
+    p.synth.readRatio = 0.9;
+    p.synth.seed = 23;
+    p.refreshPeriod = 2 * sim::kMin;
+    p.warmupFraction = 0.25;
+    p.prewriteFraction = 0.3;
+    return fleet::runFleetPreset(fc, p).toJson(/*include_volatile=*/false);
 }
 
 bool
@@ -136,6 +185,20 @@ TEST(BackendGolden, SectorModeLegMatchesSeed)
     if (trace::compiledIn())
         GTEST_SKIP() << "IDA_TRACE changes attribution values";
     compareOrUpdate(sectorLeg(), "backend_sector_mode.json");
+}
+
+TEST(BackendGolden, ZnsWorkloadLegMatchesSeed)
+{
+    if (trace::compiledIn())
+        GTEST_SKIP() << "IDA_TRACE changes attribution values";
+    compareOrUpdate(znsLeg(), "backend_zns_workload.json");
+}
+
+TEST(BackendGolden, FleetPresetLegMatchesSeed)
+{
+    if (trace::compiledIn())
+        GTEST_SKIP() << "IDA_TRACE changes attribution values";
+    compareOrUpdate(fleetLeg(), "backend_fleet_preset.json");
 }
 
 } // namespace
