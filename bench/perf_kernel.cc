@@ -2,38 +2,24 @@
  * @file
  * Simulation-kernel microbenchmark: the perf trajectory of the hot path.
  *
- * Two measurements, both deterministic in their simulated behavior so
- * only wall time varies between machines/builds:
- *
- *  1. Raw dispatch rate (events/sec): 256 self-rescheduling actors pump
- *     IDA_PERF_EVENTS events (default 4M) through one EventQueue with
- *     LCG-jittered delays and kernel-sized (40-byte) capture sets — the
- *     schedule/pop/invoke cycle and nothing else, i.e. the kernel
- *     overhead every simulated flash command pays.
- *
- *  2. End-to-end simulated-IOs/sec: one fig10-shaped closed-loop run
- *     (queue depth 16, the paper's saturation setup) of the first paper
- *     workload at IDA_PERF_SCALE (default 0.15) of its full length,
- *     counting measured host I/Os against the run's wall clock. This is
- *     the metric every figure/table harness is bound by. Two variant
- *     legs re-run the same workload to price the read-path features a
- *     page-granular closed loop never touches:
- *       - sector mode: half the requests narrowed to sub-page sector
- *         ranges (exercises the mask-merge path and sector validity);
- *       - rcache: a 4096-page controller read cache enabled (exercises
- *         the cache probe/fill/invalidate path on every host I/O).
+ * Raw dispatch rate (events/sec): 256 self-rescheduling actors pump
+ * IDA_PERF_EVENTS events (default 4M) through one EventQueue with
+ * LCG-jittered delays and kernel-sized (40-byte) capture sets — the
+ * schedule/pop/invoke cycle and nothing else, i.e. the kernel overhead
+ * every simulated flash command pays. End-to-end simulated IOs per
+ * second are measured by perfbench (perfbench/README.md), not here.
  *
  * Emits $IDA_RESULTS_DIR/BENCH_kernel.json with the schema
  *   { "bench": "perf_kernel", "commit": <IDA_BENCH_COMMIT or "unknown">,
- *     "events_per_sec": N, "ios_per_sec": N,
- *     "ios_per_sec_sector": N, "ios_per_sec_rcache": N,
- *     "wall_ms": N, "config": { geometry/coding/build fingerprint } }
+ *     "events_per_sec": N, "wall_ms": N,
+ *     "config": { geometry/coding/build fingerprint } }
  * so every PR can record its numbers next to the committed baseline in
  * bench/baselines/ (see docs/PERF.md for the comparison workflow). The
  * config fingerprint exists so a baseline diff can distinguish "the
- * code got slower" from "the benchmark is measuring a different device
- * or build" — tools/check_bench_json.sh refuses a baseline comparison
- * when fingerprints disagree.
+ * code got slower" from "the benchmark is measuring a different build"
+ * — tools/check_bench_json.sh refuses a baseline comparison when
+ * fingerprints disagree. It still names the paper device the removed
+ * end-to-end legs ran, so the committed baselines stay comparable.
  *
  * Wall-clock results are machine-dependent by nature; compare only
  * numbers measured on the same machine.
@@ -51,8 +37,6 @@
 #include "ssd/config.hh"
 #include "stats/json_writer.hh"
 #include "workload/batch.hh"
-#include "workload/presets.hh"
-#include "workload/runner.hh"
 
 namespace {
 
@@ -86,17 +70,6 @@ envU64(const char *name, std::uint64_t dflt)
         const long long v = std::atoll(env);
         if (v > 0)
             return static_cast<std::uint64_t>(v);
-    }
-    return dflt;
-}
-
-double
-envDouble(const char *name, double dflt)
-{
-    if (const char *env = std::getenv(name)) {
-        const double v = std::atof(env);
-        if (v > 0.0)
-            return v;
     }
     return dflt;
 }
@@ -179,23 +152,6 @@ codingName(ida::ssd::CodingChoice c)
     return "unknown";
 }
 
-/** One closed-loop leg; prints and returns its ios/sec. */
-double
-fig10Leg(const char *label, const ida::ssd::SsdConfig &cfg,
-         const ida::workload::WorkloadPreset &preset)
-{
-    const ida::workload::RunResult res =
-        ida::workload::runClosedLoop(cfg, preset, 16);
-    const double ios =
-        static_cast<double>(res.measuredReads + res.measuredWrites);
-    const double per_sec =
-        res.wallSeconds > 0.0 ? ios / res.wallSeconds : 0.0;
-    std::printf("  ios/sec[%s]: %.0f  (%.0f measured IOs in %.2fs "
-                "wall)\n",
-                label, per_sec, ios, res.wallSeconds);
-    return per_sec;
-}
-
 /**
  * The config/build fingerprint: everything that would make two
  * BENCH_kernel.json records incomparable even on the same machine.
@@ -250,44 +206,18 @@ main()
     using namespace ida;
 
     const std::uint64_t events = envU64("IDA_PERF_EVENTS", 4'000'000);
-    const double scale = envDouble("IDA_PERF_SCALE", 0.15);
     const char *commit_env = std::getenv("IDA_BENCH_COMMIT");
     const std::string commit = commit_env ? commit_env : "unknown";
 
-    std::printf("perf_kernel: %llu raw events, fig10 workload at scale "
-                "%.2f\n",
-                static_cast<unsigned long long>(events), scale);
+    std::printf("perf_kernel: %llu raw events\n",
+                static_cast<unsigned long long>(events));
 
     const auto total_start = Clock::now();
 
-    // Stage 1: raw kernel dispatch rate.
     ActorBench raw(events);
     const double events_per_sec = raw.run(256);
     std::printf("  events/sec: %.0f  (%llu events)\n", events_per_sec,
                 static_cast<unsigned long long>(raw.executed()));
-
-    // Stage 2: fig10-shaped end-to-end runs (closed loop, depth 16).
-    ssd::SsdConfig cfg = ssd::SsdConfig::paperTlc();
-    cfg.ftl.enableIda = true;
-    cfg.adjustErrorRate = 0.20;
-    const workload::WorkloadPreset preset =
-        workload::scaled(workload::paperWorkloads().front(), scale);
-    const double ios_per_sec = fig10Leg("fig10", cfg, preset);
-
-    // Sector-mode leg: half the stream narrowed to sub-page ranges so
-    // the mask-merge and sector-validity paths are priced too.
-    workload::WorkloadPreset sector_preset = preset;
-    sector_preset.synth.subPageFraction = 0.5;
-    sector_preset.synth.sectorsPerPage = cfg.geometry.sectorsPerPage();
-    const double ios_per_sec_sector =
-        fig10Leg("sector", cfg, sector_preset);
-
-    // Read-cache leg: same stream behind a 4096-page controller cache
-    // (every host read probes it; repeated reads hit DRAM).
-    ssd::SsdConfig rcache_cfg = cfg;
-    rcache_cfg.ftl.readCache.capacityPages = 4096;
-    const double ios_per_sec_rcache =
-        fig10Leg("rcache", rcache_cfg, preset);
 
     const double wall_ms = 1000.0 * secondsSince(total_start);
     std::printf("  total wall: %.0f ms\n", wall_ms);
@@ -309,10 +239,10 @@ main()
         w.field("bench", "perf_kernel");
         w.field("commit", commit);
         w.field("events_per_sec", events_per_sec);
-        w.field("ios_per_sec", ios_per_sec);
-        w.field("ios_per_sec_sector", ios_per_sec_sector);
-        w.field("ios_per_sec_rcache", ios_per_sec_rcache);
         w.field("wall_ms", wall_ms);
+        ssd::SsdConfig cfg = ssd::SsdConfig::paperTlc();
+        cfg.ftl.enableIda = true;
+        cfg.adjustErrorRate = 0.20;
         writeFingerprint(w, cfg);
         w.endObject();
         os << "\n";

@@ -4,7 +4,7 @@
  *
  * The simulator's result tables are only as credible as the agreement
  * between its layers: the FTL mapping, the per-block valid bitmaps, the
- * per-wordline IDA coding state, the event kernel's packed heap, and
+ * per-wordline IDA coding state, the event kernel's timing wheel, and
  * the conservation counters that tie host traffic to flash commands.
  * Each layer maintains its own view incrementally for speed; nothing on
  * the hot path re-derives another layer's state. The Auditor closes
@@ -61,8 +61,9 @@ struct Violation
  *                      IdaMerge moves states only upward (ISPP), its
  *                      survivors are consistent, and surviving levels
  *                      never sense more than the conventional coding.
- *  - event-queue:      packed 4-ary heap order, timestamps never behind
- *                      now(), exact slab-pool slot accounting
+ *  - event-queue:      timing-wheel placement and bitmaps, per-bucket
+ *                      sequence order, timestamps never behind now(),
+ *                      exact slab-pool slot accounting
  *                      (EventQueue::validateHeap).
  *  - block-accounting: BlockManager free pools / active flags / in-use
  *                      counter agree with per-block recount; no clock

@@ -6,7 +6,7 @@
 
 #include "sim/log.hh"
 #include "stats/json_writer.hh"
-#include "workload/synthetic.hh"
+#include "workload/host.hh"
 
 namespace ida::fleet {
 
@@ -286,11 +286,7 @@ Fleet::run(workload::TraceStream &trace, const FleetRunOptions &opt)
 
     measureStart_ = opt.measureStart;
     for (auto &dev : devices_) {
-        dev->setMeasureStart(opt.measureStart);
-        ssd::Ssd *raw = dev.get();
-        dev->events().schedule(opt.measureStart, [raw] {
-            raw->ftl().resetReadClassification();
-        });
+        workload::openWindowAt(*dev, opt.measureStart);
         dev->start();
     }
 
@@ -404,41 +400,14 @@ runFleetPreset(const FleetConfig &cfg,
                const workload::WorkloadPreset &preset)
 {
     FleetConfig fc = cfg;
-    fc.device.ftl.refreshPeriod = preset.refreshPeriod;
-    fc.device.ftl.refreshCheckInterval =
-        std::max<sim::Time>(preset.refreshPeriod / 64, sim::kSec);
-    if (preset.synth.duration > sim::Time{}) {
-        fc.device.ftl.preloadAgeSpread = std::max(
-            preset.warmupFraction * preset.synth.duration, sim::kSec);
-    }
+    fc.device = workload::hostConfig(
+        cfg.device, workload::Arrivals::Open, preset.refreshPeriod,
+        preset.warmupFraction, preset.synth.duration);
     Fleet fleet(fc);
-
-    const std::uint64_t footprint = std::min<std::uint64_t>(
-        preset.synth.footprintPages,
-        static_cast<std::uint64_t>(
-            0.7 * static_cast<double>(fleet.logicalPages())));
+    const std::uint64_t footprint = workload::clampFootprint(
+        preset.synth.footprintPages, fleet.logicalPages());
     fleet.preloadSequential(footprint);
-
-    if (preset.prewriteFraction > 0.0) {
-        workload::SyntheticConfig pc = preset.synth;
-        pc.seed = preset.synth.seed ^ 0x5eedu;
-        pc.totalRequests = static_cast<std::uint64_t>(
-            static_cast<double>(pc.totalRequests) *
-            preset.prewriteFraction);
-        workload::SyntheticTrace pre(pc);
-        workload::IoRequest w;
-        while (pre.next(w)) {
-            if (w.isRead || w.isTrim)
-                continue;
-            const flash::Lpn start =
-                footprint > 0 ? w.startPage % footprint : 0;
-            for (std::uint32_t i = 0; i < w.pageCount; ++i) {
-                if (start + i < footprint)
-                    fleet.preloadWrite(start + i);
-            }
-        }
-        fleet.finalizePreload();
-    }
+    workload::preAge(preset, footprint, fleet);
 
     workload::SyntheticTrace trace(preset.synth);
     FleetRunOptions opt;

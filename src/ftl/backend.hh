@@ -150,6 +150,31 @@ class FtlBackend
                                                 : zns_->quiescent();
     }
 
+    /**
+     * True once the initial refresh wave is over: the backend is
+     * quiescent and no block (zone) is due its first refresh. Blocks
+     * an IDA refresh already coded re-expire a full period later, long
+     * after a closed-loop run ends, so they do not count.
+     */
+    bool refreshWaveDone(sim::Time now) const {
+        if (!quiescent())
+            return false;
+        if (kind_ == BackendKind::PageMapped) {
+            const BlockManager &bm = page_->blocks();
+            for (flash::BlockId b :
+                 bm.refreshCandidates(now, page_->config().refreshPeriod))
+                if (!bm.meta(b).forceMigrateNextRefresh())
+                    return false;
+            return true;
+        }
+        for (std::uint32_t zn = 0; zn < zns_->zones(); ++zn)
+            if (zns_->state(zn) == zns::ZoneState::Full &&
+                !zns_->refreshing(zn) && zns_->programmedPages(zn) > 0 &&
+                now - zns_->refreshedAt(zn) > zns_->config().refreshPeriod)
+                return false;
+        return true;
+    }
+
     const FtlStats &stats() const {
         return kind_ == BackendKind::PageMapped ? page_->stats()
                                                 : zns_->stats();

@@ -128,8 +128,6 @@ checkSpec(const RunSpec &spec)
         throw std::invalid_argument("preset has an empty footprint");
     if (spec.preset.synth.totalRequests == 0)
         throw std::invalid_argument("preset generates no requests");
-    if (spec.kind == RunKind::ClosedLoop && spec.queueDepth <= 0)
-        throw std::invalid_argument("closed-loop run needs queueDepth >= 1");
 }
 
 RunResult

@@ -1,11 +1,10 @@
 #include "workload/runner.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "ftl/gauges.hh"
-#include "sim/log.hh"
 #include "trace/recorder.hh"
+#include "workload/host.hh"
 
 namespace ida::workload {
 
@@ -25,68 +24,48 @@ RunResult::readImprovement(const RunResult &base) const
 
 namespace {
 
-/** Admission buffer cap: bounds memory on arbitrarily long traces. */
+/**
+ * Largest span handed to one Ssd::submitBatch call. It bounds only that
+ * span: every request is admitted into the device before the kernel
+ * runs, so admitted state still grows with the trace.
+ */
 constexpr std::size_t kSubmitBatch = 256;
 
-void
-flushBatch(ssd::Ssd &ssd, std::vector<ssd::HostRequest> &batch)
+/** @p r arriving at @p arrival, folded into the preloaded footprint so
+ *  every read is mapped. */
+ssd::HostRequest
+toHostRequest(const IoRequest &r, sim::Time arrival, std::uint64_t footprint)
 {
-    if (batch.empty())
-        return;
-    ssd.submitBatch(batch);
-    batch.clear();
+    ssd::HostRequest hr;
+    hr.arrival = arrival;
+    hr.isRead = r.isRead;
+    hr.isTrim = r.isTrim;
+    hr.startSector = r.startSector;
+    hr.sectorCount = r.sectorCount;
+    hr.startPage = footprint > 0 ? r.startPage % footprint : 0;
+    hr.pageCount = r.pageCount;
+    if (hr.startPage + hr.pageCount > footprint)
+        hr.startPage =
+            footprint - std::min<std::uint64_t>(hr.pageCount, footprint);
+    return hr;
 }
 
 RunResult
 runStream(const ssd::SsdConfig &device, TraceStream &trace,
           std::uint64_t footprint_pages, sim::Time refresh_period,
           double warmup_fraction, sim::Time duration_hint,
-          const std::string &label, TraceStream *prewrites = nullptr)
+          const std::string &label, const WorkloadPreset *aging = nullptr)
 {
-    const auto wall0 = std::chrono::steady_clock::now();
-
-    ssd::SsdConfig cfg = device;
-    cfg.ftl.refreshPeriod = refresh_period;
-    cfg.ftl.refreshCheckInterval =
-        std::max<sim::Time>(refresh_period / 64, sim::kSec);
-    if (duration_hint > sim::Time{}) {
-        // Preloaded (pre-trace) data becomes refresh-eligible during the
-        // warm-up window, so the measured window sees the steady state
-        // the paper measures: resident data already refreshed once.
-        cfg.ftl.preloadAgeSpread =
-            std::max(warmup_fraction * duration_hint, sim::kSec);
-    }
-    ssd::Ssd ssd(cfg);
-    // Fold spans as they complete (no retention: memory stays fixed).
-    // Free in default builds: the stamps are compiled out and the
-    // recorder never sees a span.
-    if (trace::compiledIn())
-        ssd.enableTracing();
-
-    const std::uint64_t footprint = std::min<std::uint64_t>(
-        footprint_pages,
-        static_cast<std::uint64_t>(0.7 *
-            static_cast<double>(ssd.logicalPages())));
+    const auto wall0 = WallClock::now();
+    const auto dev = makeDevice(hostConfig(device, Arrivals::Open,
+                                           refresh_period, warmup_fraction,
+                                           duration_hint));
+    ssd::Ssd &ssd = *dev;
+    const std::uint64_t footprint =
+        clampFootprint(footprint_pages, ssd.logicalPages());
     ssd.preloadSequential(footprint);
-
-    // Pre-age the resident data: apply a write stream instantly so
-    // blocks carry realistic invalid-page populations when the first
-    // refreshes hit (see WorkloadPreset::prewriteFraction).
-    if (prewrites) {
-        IoRequest w;
-        while (prewrites->next(w)) {
-            if (w.isRead || w.isTrim)
-                continue;
-            const flash::Lpn start =
-                footprint > 0 ? w.startPage % footprint : 0;
-            for (std::uint32_t i = 0; i < w.pageCount; ++i) {
-                const flash::Lpn lpn = start + i;
-                if (lpn < footprint)
-                    ssd.ftl().preloadWrite(lpn);
-            }
-        }
-        ssd.ftl().finalizePreload();
-    }
+    if (aging)
+        preAge(*aging, footprint, ssd.ftl());
 
     // Feed the whole trace in admission batches: same-tick arrival
     // bursts (common in block traces) collapse into one arrival event
@@ -95,51 +74,26 @@ runStream(const ssd::SsdConfig &device, TraceStream &trace,
     IoRequest req;
     std::vector<ssd::HostRequest> batch;
     batch.reserve(kSubmitBatch);
+    auto flush = [&] {
+        if (!batch.empty())
+            ssd.submitBatch(batch);
+        batch.clear();
+    };
     while (trace.next(req)) {
-        ssd::HostRequest hr;
-        hr.arrival = req.arrival;
-        hr.isRead = req.isRead;
-        hr.isTrim = req.isTrim;
-        hr.startSector = req.startSector;
-        hr.sectorCount = req.sectorCount;
-        // Clamp into the preloaded footprint so every read is mapped.
-        hr.startPage = footprint > 0 ? req.startPage % footprint : 0;
-        hr.pageCount = req.pageCount;
-        if (hr.startPage + hr.pageCount > footprint)
-            hr.startPage = footprint - std::min<std::uint64_t>(
-                hr.pageCount, footprint);
-        last_arrival = std::max(last_arrival, hr.arrival);
-        // Flush on a new arrival tick (keeps runs whole) or at the
-        // buffer cap, so memory stays bounded on huge traces.
-        if (!batch.empty() && (batch.back().arrival != hr.arrival ||
+        last_arrival = std::max(last_arrival, req.arrival);
+        // Flush on a new arrival tick (keeps runs whole) or at the cap.
+        if (!batch.empty() && (batch.back().arrival != req.arrival ||
                                batch.size() >= kSubmitBatch))
-            flushBatch(ssd, batch);
-        batch.push_back(std::move(hr));
+            flush();
+        batch.push_back(toHostRequest(req, req.arrival, footprint));
     }
-    flushBatch(ssd, batch);
+    flush();
 
     const sim::Time horizon = std::max(duration_hint, last_arrival);
-    const sim::Time measure_start = warmup_fraction * horizon;
-    ssd.setMeasureStart(measure_start);
-    ssd.events().schedule(measure_start, [&ssd] {
-        ssd.backend().resetReadClassification();
-    });
-    ssd.start();
-
-    // Run to the horizon, then drain outstanding traffic (bounded).
-    ssd.events().runUntil(horizon);
-    const sim::Time drain_limit = horizon + 10 * sim::kMin;
-    while (!ssd.drained() && ssd.events().now() < drain_limit)
-        ssd.events().runUntil(ssd.events().now() + sim::kSec);
-    if (!ssd.drained())
-        sim::warn("runner: device did not drain within the limit");
-
-    RunResult r = harvestResult(ssd, label, footprint);
+    openWindowAt(ssd, warmup_fraction * horizon);
+    RunResult r = runOpenLoop(ssd, horizon, label, footprint, wall0);
     r.traceMalformedLines = trace.malformedLines();
     r.traceOutOfOrderLines = trace.outOfOrderLines();
-    r.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wall0)
-                        .count();
     return r;
 }
 
@@ -192,18 +146,9 @@ RunResult
 runPreset(const ssd::SsdConfig &device, const WorkloadPreset &preset)
 {
     SyntheticTrace trace(preset.synth);
-    std::unique_ptr<SyntheticTrace> pre;
-    if (preset.prewriteFraction > 0.0) {
-        SyntheticConfig pc = preset.synth;
-        pc.seed = preset.synth.seed ^ 0x5eedu;
-        pc.totalRequests = static_cast<std::uint64_t>(
-            static_cast<double>(pc.totalRequests) *
-            preset.prewriteFraction);
-        pre = std::make_unique<SyntheticTrace>(pc);
-    }
     return runStream(device, trace, preset.synth.footprintPages,
                      preset.refreshPeriod, preset.warmupFraction,
-                     preset.synth.duration, preset.name, pre.get());
+                     preset.synth.duration, preset.name, &preset);
 }
 
 RunResult
@@ -219,117 +164,31 @@ RunResult
 runClosedLoop(const ssd::SsdConfig &device, const WorkloadPreset &preset,
               int queue_depth)
 {
-    const auto wall0 = std::chrono::steady_clock::now();
-
-    ssd::SsdConfig cfg = device;
-    cfg.ftl.refreshPeriod = preset.refreshPeriod;
-    cfg.ftl.refreshCheckInterval =
-        std::max<sim::Time>(preset.refreshPeriod / 64, sim::kSec);
-    // At saturation the run is short; age everything so refreshes (and
-    // their IDA adjustments) happen during the warm-up portion.
-    cfg.ftl.preloadAgeSpread = sim::kSec;
-    ssd::Ssd ssd(cfg);
-    if (trace::compiledIn())
-        ssd.enableTracing();
-
+    ClosedLoop loop(queue_depth, preset.warmupFraction,
+                    preset.synth.totalRequests);
+    const auto dev = makeDevice(
+        hostConfig(device, Arrivals::Closed, preset.refreshPeriod));
+    ssd::Ssd &ssd = *dev;
     SyntheticTrace trace(preset.synth);
-    const std::uint64_t footprint = std::min<std::uint64_t>(
-        preset.synth.footprintPages,
-        static_cast<std::uint64_t>(
-            0.7 * static_cast<double>(ssd.logicalPages())));
+    const std::uint64_t footprint =
+        clampFootprint(preset.synth.footprintPages, ssd.logicalPages());
     ssd.preloadSequential(footprint);
-    if (preset.prewriteFraction > 0.0) {
-        SyntheticConfig pc = preset.synth;
-        pc.seed = preset.synth.seed ^ 0x5eedu;
-        pc.totalRequests = static_cast<std::uint64_t>(
-            static_cast<double>(pc.totalRequests) *
-            preset.prewriteFraction);
-        SyntheticTrace pre(pc);
-        IoRequest w;
-        while (pre.next(w)) {
-            if (w.isRead || w.isTrim)
-                continue;
-            const flash::Lpn start = w.startPage % footprint;
-            for (std::uint32_t i = 0; i < w.pageCount; ++i) {
-                if (start + i < footprint)
-                    ssd.ftl().preloadWrite(start + i);
-            }
-        }
-        ssd.ftl().finalizePreload();
-    }
-    ssd.start();
-
-    // Preparation: a saturation run lasts only seconds of simulated
-    // time, far less than a refresh scan interval — so complete the
-    // initial refresh wave (which IDA-codes the resident data) before
-    // any traffic is offered. The wave is done when no job is running
-    // and no *first-time* candidate remains (IDA blocks re-expire a
-    // full period later, long after the run ends).
-    const sim::Time prep_limit = 30ll * 24 * sim::kHour;
-    for (;;) {
-        ssd.events().runUntil(ssd.events().now() + 10 * sim::kSec);
-        bool fresh_candidates = false;
-        for (flash::BlockId b : ssd.ftl().blocks().refreshCandidates(
-                 ssd.events().now(), cfg.ftl.refreshPeriod)) {
-            if (!ssd.ftl().blocks().meta(b).forceMigrateNextRefresh()) {
-                fresh_candidates = true;
-                break;
-            }
-        }
-        if ((ssd.ftl().quiescent() && !fresh_candidates) ||
-            ssd.events().now() > prep_limit) {
-            break;
-        }
-    }
-
-    const std::uint64_t warm = static_cast<std::uint64_t>(
-        preset.warmupFraction *
-        static_cast<double>(preset.synth.totalRequests));
-    std::uint64_t submitted = 0;
-    bool exhausted = false;
+    preAge(preset, footprint, ssd.ftl());
 
     // Self-sustaining pump: each completion submits the next request.
-    std::function<void(sim::Time)> pump = [&](sim::Time) {
+    std::function<void(sim::Time)> on_done;
+    const std::function<bool()> pump = [&] {
         IoRequest r;
-        if (!trace.next(r)) {
-            exhausted = true;
-            return;
-        }
-        if (submitted == warm) {
-            const sim::Time t0 = ssd.events().now();
-            ssd.setMeasureStart(t0);
-            ssd.ftl().resetReadClassification();
-        }
-        ++submitted;
-        ssd::HostRequest hr;
-        hr.arrival = ssd.events().now();
-        hr.isRead = r.isRead;
-        hr.isTrim = r.isTrim;
-        hr.startSector = r.startSector;
-        hr.sectorCount = r.sectorCount;
-        hr.startPage = r.startPage % footprint;
-        hr.pageCount = r.pageCount;
-        if (hr.startPage + hr.pageCount > footprint)
-            hr.startPage = footprint - std::min<std::uint64_t>(
-                hr.pageCount, footprint);
-        hr.onComplete = pump;
+        if (!loop.admit(ssd, trace.next(r)))
+            return false;
+        ssd::HostRequest hr =
+            toHostRequest(r, ssd.events().now(), footprint);
+        hr.onComplete = on_done;
         ssd.submit(hr);
+        return true;
     };
-    for (int i = 0; i < queue_depth; ++i)
-        pump(sim::Time{});
-
-    const sim::Time limit = 30ll * 24 * sim::kHour;
-    while (!(exhausted && ssd.drained()) && ssd.events().now() < limit) {
-        if (ssd.events().empty())
-            break;
-        ssd.events().runUntil(ssd.events().now() + sim::kSec);
-    }
-
-    RunResult r = harvestResult(ssd, preset.name, footprint);
-    r.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wall0)
-                        .count();
-    return r;
+    on_done = [&pump](sim::Time) { pump(); };
+    return loop.run(ssd, pump, preset.name, footprint);
 }
 
 } // namespace ida::workload

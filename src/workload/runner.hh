@@ -120,6 +120,8 @@ RunResult runTrace(const ssd::SsdConfig &device, TraceStream &trace,
  * requests are kept outstanding at all times. This measures *device*
  * throughput (the paper's Fig. 10), which an open-loop replay cannot
  * (it is arrival-limited by construction).
+ *
+ * @throws std::invalid_argument when @p queue_depth < 1.
  */
 RunResult runClosedLoop(const ssd::SsdConfig &device,
                         const WorkloadPreset &preset, int queue_depth);

@@ -1,13 +1,12 @@
 #include "workload/zns_workload.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
-#include "sim/log.hh"
-#include "trace/recorder.hh"
+#include "workload/host.hh"
 
 namespace ida::workload {
 
@@ -44,14 +43,11 @@ struct ZnsHost
     std::deque<std::uint32_t> closedPool; // reopen candidates
     std::vector<std::uint32_t> active;
     std::uint32_t nextEmpty = 0; // scan hint over `state`
-
-    std::uint64_t submitted = 0;
-    std::uint64_t warmCount = 0;
-    bool exhausted = false;
+    ClosedLoop &loop;
 
     ZnsHost(ssd::Ssd &ssd_, const ZnsWorkloadConfig &wl_,
-            std::uint32_t preloaded_zones)
-        : ssd(ssd_), wl(wl_), rng(wl_.seed)
+            std::uint32_t preloaded_zones, ClosedLoop &loop_)
+        : ssd(ssd_), wl(wl_), rng(wl_.seed), loop(loop_)
     {
         const ftl::zns::ZnsFtl &z = ssd.backend().zns();
         zones = z.zones();
@@ -67,46 +63,41 @@ struct ZnsHost
             wp[zn] = prog[zn] = zoneCap;
             fullFifo.push_back(zn);
         }
-        warmCount = static_cast<std::uint64_t>(
-            wl.warmupFraction * static_cast<double>(wl.totalRequests));
     }
 
     /** One closed-loop turn: submit exactly one request, completing
      *  back into pump(). Returns false when the budget is spent. */
     bool pump()
     {
-        if (submitted >= wl.totalRequests) {
-            exhausted = true;
+        if (!loop.admit(ssd, loop.submitted() < wl.totalRequests))
             return false;
-        }
-        if (submitted == warmCount) {
-            ssd.setMeasureStart(ssd.events().now());
-            ssd.backend().resetReadClassification();
-        }
-        ++submitted;
         if (rng.chance(wl.readFraction) && submitRead())
             return true;
         submitAppendTurn();
         return true;
     }
 
+    /** Submit @p hr now; its completion pumps the next turn unless
+     *  @p on_complete is given. */
+    void submit(ssd::HostRequest hr,
+                std::function<void(sim::Time)> on_complete = {})
+    {
+        hr.arrival = ssd.events().now();
+        hr.onComplete = on_complete ? std::move(on_complete)
+                                    : [this](sim::Time) { pump(); };
+        ssd.submit(hr);
+    }
+
     void submitZoneOp(ftl::zns::ZoneOp op, std::uint32_t zone,
                       std::uint32_t page_count,
-                      std::function<void(sim::Time)> on_complete)
+                      std::function<void(sim::Time)> on_complete = {})
     {
         ssd::HostRequest hr;
-        hr.arrival = ssd.events().now();
         hr.isRead = false;
         hr.zoneOp = op;
         hr.zone = zone;
         hr.pageCount = page_count;
-        hr.onComplete = std::move(on_complete);
-        ssd.submit(hr);
-    }
-
-    std::function<void(sim::Time)> pumpNext()
-    {
-        return [this](sim::Time) { pump(); };
+        submit(hr, std::move(on_complete));
     }
 
     /** Read a burst of written pages; false when nothing is readable
@@ -136,12 +127,9 @@ struct ZnsHost
             std::min<std::uint64_t>(1 + rng.uniformInt(0, 3),
                                     limit - off));
         ssd::HostRequest hr;
-        hr.arrival = ssd.events().now();
-        hr.isRead = true;
         hr.startPage = std::uint64_t{zone} * zoneCap + off;
         hr.pageCount = count;
-        hr.onComplete = pumpNext();
-        ssd.submit(hr);
+        submit(hr);
         return true;
     }
 
@@ -167,11 +155,8 @@ struct ZnsHost
             // never-written offsets (the unmapped-read path).
             if (!submitRead()) {
                 ssd::HostRequest hr;
-                hr.arrival = ssd.events().now();
-                hr.isRead = true;
                 hr.startPage = rng.uniformInt(0, zones - 1) * zoneCap;
-                hr.onComplete = pumpNext();
-                ssd.submit(hr);
+                submit(hr);
             }
             return;
         }
@@ -196,7 +181,7 @@ struct ZnsHost
         const std::uint32_t count = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(1 + rng.uniformInt(0, 2 * burst - 2),
                                     room));
-        submitZoneOp(ftl::zns::ZoneOp::Append, zone, count, pumpNext());
+        submitZoneOp(ftl::zns::ZoneOp::Append, zone, count);
         wp[zone] += count;
         prog[zone] = wp[zone];
         if (wp[zone] == zoneCap) {
@@ -209,7 +194,7 @@ struct ZnsHost
 
     void finishZone(std::uint32_t zone)
     {
-        submitZoneOp(ftl::zns::ZoneOp::Finish, zone, 1, pumpNext());
+        submitZoneOp(ftl::zns::ZoneOp::Finish, zone, 1);
         state[zone] = HostZone::Full;
         wp[zone] = zoneCap; // programmed pages stay where they were
         fullFifo.push_back(zone);
@@ -217,13 +202,26 @@ struct ZnsHost
 
     void closeZone(std::uint32_t zone)
     {
-        submitZoneOp(ftl::zns::ZoneOp::Close, zone, 1, pumpNext());
+        submitZoneOp(ftl::zns::ZoneOp::Close, zone, 1);
         if (wp[zone] == 0) {
             state[zone] = HostZone::Empty; // the device falls to EMPTY
         } else {
             state[zone] = HostZone::Closed;
             closedPool.push_back(zone);
         }
+    }
+
+    /** Activate @p zone with an explicit open or, spending the turn
+     *  on it, its first (implicitly opening) append. */
+    bool claim(std::uint32_t zone)
+    {
+        state[zone] = HostZone::Active;
+        active.push_back(zone);
+        if (rng.chance(wl.explicitOpenFraction))
+            submitZoneOp(ftl::zns::ZoneOp::Open, zone, 1);
+        else
+            appendTo(zone);
+        return true;
     }
 
     /**
@@ -237,28 +235,14 @@ struct ZnsHost
         if (!closedPool.empty()) {
             const std::uint32_t zone = closedPool.front();
             closedPool.pop_front();
-            state[zone] = HostZone::Active;
-            active.push_back(zone);
-            if (rng.chance(wl.explicitOpenFraction)) {
-                submitZoneOp(ftl::zns::ZoneOp::Open, zone, 1, pumpNext());
-                return true;
-            }
-            appendTo(zone); // implicit open on the first append
-            return true;
+            return claim(zone);
         }
         for (std::uint32_t n = 0; n < zones; ++n) {
             const std::uint32_t zone = (nextEmpty + n) % zones;
-            if (state[zone] != HostZone::Empty)
-                continue;
-            nextEmpty = (zone + 1) % zones;
-            state[zone] = HostZone::Active;
-            active.push_back(zone);
-            if (rng.chance(wl.explicitOpenFraction)) {
-                submitZoneOp(ftl::zns::ZoneOp::Open, zone, 1, pumpNext());
-                return true;
+            if (state[zone] == HostZone::Empty) {
+                nextEmpty = (zone + 1) % zones;
+                return claim(zone);
             }
-            appendTo(zone);
-            return true;
         }
         if (!fullFifo.empty()) {
             const std::uint32_t zone = fullFifo.front();
@@ -285,75 +269,29 @@ RunResult
 runZnsWorkload(const ssd::SsdConfig &device, const ZnsWorkloadConfig &wl,
                const std::string &label)
 {
-    const auto wall0 = std::chrono::steady_clock::now();
-
-    ssd::SsdConfig cfg = device;
-    if (cfg.backend != ftl::BackendKind::Zns)
-        sim::fatal("runZnsWorkload: device does not select the ZNS "
-                   "backend");
-    // Saturation runs are short; age the preloaded data so the refresh
-    // wave happens in preparation, before measurement (runClosedLoop
-    // does the same for the page-mapped backend).
-    cfg.ftl.preloadAgeSpread = sim::kSec;
-    ssd::Ssd ssd(cfg);
-    if (trace::compiledIn())
-        ssd.enableTracing();
-
+    ClosedLoop loop(wl.queueDepth, wl.warmupFraction, wl.totalRequests);
+    if (device.backend != ftl::BackendKind::Zns)
+        throw std::invalid_argument(
+            "runZnsWorkload: device does not select the ZNS backend");
+    const auto dev = makeDevice(
+        hostConfig(device, Arrivals::Closed, std::nullopt));
+    ssd::Ssd &ssd = *dev;
     const ftl::zns::ZnsFtl &z = ssd.backend().zns();
-    const std::uint32_t zones = z.zones();
-    const std::uint64_t zoneCap = z.zoneCapacity();
-    if (zones < 4)
-        sim::fatal("runZnsWorkload: need at least 4 zones");
+    if (z.zones() < 4)
+        throw std::invalid_argument("runZnsWorkload: need at least 4 zones");
 
     // Preload whole zones up to the utilization target, always leaving
     // room for the active zones plus one spare empty zone.
     const auto headroom = std::max<std::uint32_t>(wl.activeZones + 1, 2);
     const std::uint32_t preloaded = std::min<std::uint32_t>(
         static_cast<std::uint32_t>(wl.utilizationTarget *
-                                   static_cast<double>(zones)),
-        zones - headroom);
-    ssd.preloadSequential(std::uint64_t{preloaded} * zoneCap);
-    ssd.start();
+                                   static_cast<double>(z.zones())),
+        z.zones() - headroom);
+    const std::uint64_t footprint = std::uint64_t{preloaded} * z.zoneCapacity();
+    ssd.preloadSequential(footprint);
 
-    // Preparation: complete the initial refresh wave over the
-    // preloaded zones so measurement sees the refreshed steady state.
-    const sim::Time prep_limit =
-        ssd.events().now() + 30ll * 24 * sim::kHour;
-    for (;;) {
-        ssd.events().runUntil(ssd.events().now() + 10 * sim::kSec);
-        bool candidates = false;
-        for (std::uint32_t zn = 0; zn < zones && !candidates; ++zn)
-            candidates = z.state(zn) == ftl::zns::ZoneState::Full &&
-                         !z.refreshing(zn) && z.programmedPages(zn) > 0 &&
-                         ssd.events().now() - z.refreshedAt(zn) >
-                             cfg.ftl.refreshPeriod;
-        if ((ssd.backend().quiescent() && !candidates) ||
-            ssd.events().now() > prep_limit)
-            break;
-    }
-
-    ZnsHost host(ssd, wl, preloaded);
-    for (int i = 0; i < std::max(1, wl.queueDepth); ++i)
-        if (!host.pump())
-            break;
-
-    const sim::Time limit =
-        ssd.events().now() + 30ll * 24 * sim::kHour;
-    while (!(host.exhausted && ssd.drained()) &&
-           ssd.events().now() < limit) {
-        if (ssd.events().empty())
-            break;
-        ssd.events().runUntil(ssd.events().now() + sim::kSec);
-    }
-    if (!ssd.drained())
-        sim::warn("runZnsWorkload: device did not drain");
-
-    RunResult r =
-        harvestResult(ssd, label, std::uint64_t{preloaded} * zoneCap);
-    r.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wall0)
-                        .count();
-    return r;
+    ZnsHost host(ssd, wl, preloaded, loop);
+    return loop.run(ssd, [&host] { return host.pump(); }, label, footprint);
 }
 
 } // namespace ida::workload

@@ -12,10 +12,10 @@
  * contrasts with page-mapped overwrite churn
  * (bench/ablation_zns_vs_page).
  *
- * The run is closed-loop (queue-depth saturation, like runClosedLoop):
- * the host tracks a mirror of every zone's state and only issues
- * transitions that are legal on the device, so IDA_AUDIT builds — where
- * illegal zone ops panic — run it clean.
+ * The run is closed-loop (queue-depth saturation) on the shared host
+ * path (workload/host.hh): the host tracks a mirror of every zone's
+ * state and only issues transitions that are legal on the device, so
+ * IDA_AUDIT builds — where illegal zone ops panic — run it clean.
  */
 #pragma once
 
@@ -65,10 +65,12 @@ struct ZnsWorkloadConfig
 };
 
 /**
- * Run the ZNS host against @p device (which must select the ZNS
- * backend) and harvest a RunResult. Mirrors runClosedLoop: preload,
- * complete the initial refresh wave, then saturate at queueDepth with
- * the first warmupFraction of requests unmeasured.
+ * Run the ZNS host against @p device and harvest a RunResult: preload
+ * whole zones, complete the initial refresh wave, then saturate at
+ * queueDepth with the first warmupFraction of requests unmeasured.
+ *
+ * @throws std::invalid_argument when @p device does not select the ZNS
+ *         backend, has fewer than 4 zones, or wl.queueDepth < 1.
  */
 RunResult runZnsWorkload(const ssd::SsdConfig &device,
                          const ZnsWorkloadConfig &wl,

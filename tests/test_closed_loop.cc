@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "workload/batch.hh"
 #include "workload/runner.hh"
 
 namespace ida::workload {
@@ -57,6 +60,35 @@ TEST(ClosedLoop, Deterministic)
                                  quickPreset(), 8);
     EXPECT_DOUBLE_EQ(a.throughputMBps, b.throughputMBps);
     EXPECT_EQ(a.measuredReads, b.measuredReads);
+}
+
+TEST(ClosedLoop, RejectsQueueDepthBelowOneAsInvalidArgument)
+{
+    // Nothing in flight means nothing ever completes: the run must be
+    // refused up front, not simulated for its whole time limit.
+    for (const int qd : {0, -1}) {
+        EXPECT_THROW(runClosedLoop(ssd::SsdConfig::paperTlc(),
+                                   quickPreset(), qd),
+                     std::invalid_argument)
+            << "queue depth " << qd;
+    }
+}
+
+TEST(ClosedLoop, MatrixRecordsBadQueueDepthAsCellError)
+{
+    RunSpec s;
+    s.tag = "qd0";
+    s.device = ssd::SsdConfig::paperTlc();
+    s.preset = quickPreset();
+    s.kind = RunKind::ClosedLoop;
+    s.queueDepth = 0;
+    BatchOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    const BatchOutcome out = runMatrix({s}, opts);
+    ASSERT_EQ(out.errors.size(), 1u);
+    EXPECT_NE(out.errors[0].find("queueDepth >= 1"), std::string::npos)
+        << out.errors[0];
 }
 
 } // namespace

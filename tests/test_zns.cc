@@ -12,9 +12,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ftl/backend.hh"
 #include "ssd/config.hh"
 #include "ssd/ssd.hh"
+#include "workload/zns_workload.hh"
 
 namespace {
 
@@ -297,6 +300,32 @@ TEST(Zns, ZoneOpsFlowThroughHostRequests)
     EXPECT_EQ(f.ssd.stats().zoneMgmtRequests, 2u);
     EXPECT_EQ(f.ssd.stats().writeRequests, 1u);
     EXPECT_EQ(f.ssd.stats().readRequests, 0u);
+}
+
+TEST(ZnsWorkload, RejectsBadInputAsInvalidArgument)
+{
+    workload::ZnsWorkloadConfig wl;
+    wl.totalRequests = 100;
+
+    // Page-mapped device: the zone host cannot drive it.
+    EXPECT_THROW(
+        workload::runZnsWorkload(ssd::SsdConfig::tiny(), wl, "page"),
+        std::invalid_argument);
+
+    // Zones so large that fewer than 4 fit on the device.
+    ssd::SsdConfig few = ssd::SsdConfig::tinyZns();
+    few.zns.blocksPerZone = 30;
+    EXPECT_THROW(workload::runZnsWorkload(few, wl, "few-zones"),
+                 std::invalid_argument);
+
+    // A closed loop with nothing in flight.
+    for (const int qd : {0, -3}) {
+        wl.queueDepth = qd;
+        EXPECT_THROW(workload::runZnsWorkload(ssd::SsdConfig::tinyZns(),
+                                              wl, "qd"),
+                     std::invalid_argument)
+            << "queue depth " << qd;
+    }
 }
 
 #ifdef IDA_AUDIT

@@ -2,8 +2,7 @@
 # Validate a BENCH_*.json perf record against the documented schema
 # (docs/PERF.md): an object with exactly the fields
 #   bench (string), commit (string),
-#   events_per_sec, ios_per_sec, ios_per_sec_sector,
-#   ios_per_sec_rcache, wall_ms (positive numbers),
+#   events_per_sec, wall_ms (positive numbers),
 #   config (geometry/coding/build fingerprint object).
 # Grep-based on purpose: runs anywhere the tier-1 gate runs, no jq.
 #
@@ -44,7 +43,7 @@ done
 
 # Numeric fields must be present and positive (a zero rate means the
 # benchmark's timer or counter is broken).
-FIELDS="${IDA_BENCH_FIELDS:-events_per_sec ios_per_sec ios_per_sec_sector ios_per_sec_rcache wall_ms}"
+FIELDS="${IDA_BENCH_FIELDS:-events_per_sec wall_ms}"
 for key in $FIELDS; do
     grep -Eq "\"$key\": [0-9]*\.?[0-9]+" "$FILE" || \
         fail "missing numeric field '$key'"

@@ -1,32 +1,22 @@
 #!/bin/sh
 # Perf gate for the trace layer: interleaved A/B of perf_kernel between
 # a default build (IDA_TRACE=OFF) and a trace build (IDA_TRACE=ON),
-# comparing per-side medians of events_per_sec. Proves the #ifdef
-# pattern holds — a default build must pay nothing for the
-# instrumentation (the recorder pointer is never even read), and even
-# the ON build only adds work when a tracer is attached.
-#
-# Both perf_kernel metrics are gated, with separate budgets because
-# they measure different claims (see docs/PERF.md, "Trace-layer A/B"):
-#   events/sec — the raw event kernel. No trace code runs in that path,
-#     so any delta is binary layout/alignment noise; the tight default
-#     tolerance (6%) bounds it and proves the default build pays
-#     nothing for the instrumentation.
-#   ios/sec — the full device path with the runner's tracer attached,
-#     i.e. the cost of *live* per-IO attribution. Budgeted at 15%
-#     (measured ~10%) so the live cost cannot creep unnoticed.
+# comparing per-side medians of events_per_sec. No trace code runs in
+# the raw event kernel, so any delta is binary layout/alignment noise;
+# the tight default tolerance (6%) bounds it and proves a default build
+# pays nothing for the instrumentation. The cost of *live* per-IO
+# attribution is measured end to end by perfbench (its trace.overhead_s
+# per-layer metric), not here.
 # Alternating A/B/A/B runs cancel machine drift, and each side gets one
 # discarded warmup run.
 #
-# Usage: tools/perf_trace_ab.sh [runs-per-side] [events-tol] [ios-tol]
+# Usage: tools/perf_trace_ab.sh [runs-per-side] [events-tol]
 #   runs-per-side: default 5
 #   events-tol:    allowed events/sec median regression %, default 6
-#   ios-tol:       allowed ios/sec median regression %, default 15
 set -eu
 
 RUNS="${1:-5}"
 EV_TOL="${2:-6}"
-IO_TOL="${3:-15}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 OFF_DIR="build-perf-off"
 ON_DIR="build-perf-on"
@@ -49,7 +39,6 @@ rate() {
 one_run() { # $1=dir $2=results-dir
     IDA_RESULTS_DIR="$2" \
         IDA_PERF_EVENTS="${IDA_PERF_EVENTS:-4000000}" \
-        IDA_PERF_SCALE="${IDA_PERF_SCALE:-0.15}" \
         "$1/bench/perf_kernel" > /dev/null
 }
 
@@ -66,8 +55,6 @@ while [ "$i" -lt "$RUNS" ]; do
         one_run "$dir" "$res"
         rate "$res/BENCH_kernel.json" events_per_sec \
             >> "$OUT_DIR/ev_$side"
-        rate "$res/BENCH_kernel.json" ios_per_sec \
-            >> "$OUT_DIR/io_$side"
     done
     i=$((i + 1))
 done
@@ -76,25 +63,15 @@ median() {
     sort -n "$1" | awk '{a[NR]=$1} END{print a[int((NR+1)/2)]}'
 }
 
-FAIL=0
-for metric in ev io; do
-    if [ "$metric" = ev ]; then
-        name="events/sec"; TOL="$EV_TOL"
-    else
-        name="ios/sec"; TOL="$IO_TOL"
-    fi
-    MED_OFF="$(median "$OUT_DIR/${metric}_off")"
-    MED_ON="$(median "$OUT_DIR/${metric}_on")"
-    echo "perf_trace_ab: median $name OFF=$MED_OFF ON=$MED_ON"
-    awk -v off="$MED_OFF" -v on="$MED_ON" -v tol="$TOL" -v n="$name" \
-        'BEGIN {
-        delta = 100.0 * (off - on) / off
-        printf "perf_trace_ab: %s ON is %.2f%% below OFF " \
-               "(tolerance %s%%)\n", n, delta, tol
-        exit (delta <= tol) ? 0 : 1
-    }' || FAIL=1
-done
-if [ "$FAIL" -ne 0 ]; then
+MED_OFF="$(median "$OUT_DIR/ev_off")"
+MED_ON="$(median "$OUT_DIR/ev_on")"
+echo "perf_trace_ab: median events/sec OFF=$MED_OFF ON=$MED_ON"
+if ! awk -v off="$MED_OFF" -v on="$MED_ON" -v tol="$EV_TOL" 'BEGIN {
+    delta = 100.0 * (off - on) / off
+    printf "perf_trace_ab: events/sec ON is %.2f%% below OFF " \
+           "(tolerance %s%%)\n", delta, tol
+    exit (delta <= tol) ? 0 : 1
+}'; then
     echo "perf_trace_ab: FAIL - IDA_TRACE=ON regresses perf_kernel" \
          "beyond the tolerance" >&2
     exit 1
