@@ -150,6 +150,14 @@ struct SchemeCase
     CodingScheme (*make)();
 };
 
+// Print a case by its name: gtest's default dump of the raw bytes would
+// put pointer values, which move with ASLR, into the listed test names.
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class MergeProperty : public ::testing::TestWithParam<SchemeCase>
 {
 };

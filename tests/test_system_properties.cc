@@ -23,6 +23,15 @@ struct SystemCase
     std::uint64_t seed;
 };
 
+// Print a case by its name: gtest's default dump of the raw bytes would
+// put a pointer value, which moves with ASLR, and uninitialised padding
+// into the listed test names.
+void
+PrintTo(const SystemCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class SystemProperty : public ::testing::TestWithParam<SystemCase>
 {
 };
