@@ -17,6 +17,11 @@
  *            on two-block zones, cycling whole zones through reset.
  *   fleet  — a 16-member striped fleet at 2 shards (runFleetPreset),
  *            aggregate plus every member's harvest.
+ *   fleet-chunks — a 16-member fleet replaying several times the
+ *            fleet's per-chunk request budget, with an idle stretch
+ *            (epochs that stage nothing) and a window whose arrivals
+ *            reach only four members (lanes that stay empty for a
+ *            whole chunk).
  *
  * Skipped under IDA_TRACE: the attribution block serializes measured
  * phase totals there, which legitimately differ from the zeroed
@@ -27,6 +32,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -35,7 +41,9 @@
 #include "fleet/fleet.hh"
 #include "ssd/config.hh"
 #include "trace/recorder.hh"
+#include "workload/host.hh"
 #include "workload/runner.hh"
+#include "workload/synthetic.hh"
 #include "workload/zns_workload.hh"
 
 namespace ida::workload {
@@ -122,6 +130,82 @@ fleetLeg()
     return fleet::runFleetPreset(fc, p).toJson(/*include_volatile=*/false);
 }
 
+/**
+ * Reshapes a trace for the multi-chunk fleet leg: arrivals inside
+ * [narrowFrom, narrowTo) are confined to the first four stripes (fleet
+ * pages [0, 32) at an 8-page stripe, devices 0-3 only), and arrivals
+ * from gapAt on are delayed by gap, leaving a silent stretch.
+ */
+class ReshapedTrace : public TraceStream
+{
+  public:
+    explicit ReshapedTrace(TraceStream &inner) : inner_(inner) {}
+
+    bool next(IoRequest &out) override
+    {
+        if (!inner_.next(out))
+            return false;
+        if (out.arrival >= narrowFrom && out.arrival < narrowTo) {
+            out.startPage %= 24;
+            out.pageCount = std::min<std::uint32_t>(out.pageCount, 8);
+            out.sectorCount = 0;
+        }
+        if (out.arrival >= gapAt)
+            out.arrival += gap;
+        return true;
+    }
+
+    static constexpr sim::Time narrowFrom = 60 * sim::kSec;
+    static constexpr sim::Time narrowTo = 240 * sim::kSec;
+    static constexpr sim::Time gapAt = 270 * sim::kSec;
+    static constexpr sim::Time gap = 5 * sim::kSec;
+
+  private:
+    TraceStream &inner_;
+};
+
+std::string
+fleetChunksLeg()
+{
+    fleet::FleetConfig fc;
+    fc.device = ssd::SsdConfig::tiny();
+    fc.device.ftl.enableIda = true;
+    fc.device.adjustErrorRate = 0.20;
+    fc.devices = 16;
+    fc.stripePages = 8;
+    fc.shards = 3;
+    fc.epoch = 50 * sim::kMsec;
+    fc.fleetSeed = 7;
+
+    WorkloadPreset p;
+    p.name = "fleet-chunks-golden";
+    p.synth.footprintPages = 16 * 500;
+    p.synth.totalRequests = 14'000;
+    p.synth.duration = 6 * sim::kMin;
+    p.synth.readRatio = 0.9;
+    p.synth.seed = 41;
+    p.refreshPeriod = 2 * sim::kMin;
+    p.warmupFraction = 0.25;
+    p.prewriteFraction = 0.3;
+
+    // runFleetPreset's steps, with the reshaped trace in the middle.
+    fc.device = hostConfig(fc.device, Arrivals::Open, p.refreshPeriod,
+                           p.warmupFraction, p.synth.duration);
+    fleet::Fleet fleet(fc);
+    const std::uint64_t footprint =
+        clampFootprint(p.synth.footprintPages, fleet.logicalPages());
+    fleet.preloadSequential(footprint);
+    preAge(p, footprint, fleet);
+
+    SyntheticTrace synth(p.synth);
+    ReshapedTrace trace(synth);
+    fleet::FleetRunOptions opt;
+    opt.measureStart = p.warmupFraction * p.synth.duration;
+    opt.horizon = p.synth.duration + ReshapedTrace::gap;
+    opt.label = p.name;
+    return fleet.run(trace, opt).toJson(/*include_volatile=*/false);
+}
+
 bool
 updateRequested()
 {
@@ -199,6 +283,13 @@ TEST(BackendGolden, FleetPresetLegMatchesSeed)
     if (trace::compiledIn())
         GTEST_SKIP() << "IDA_TRACE changes attribution values";
     compareOrUpdate(fleetLeg(), "backend_fleet_preset.json");
+}
+
+TEST(BackendGolden, FleetChunksLegMatchesSeed)
+{
+    if (trace::compiledIn())
+        GTEST_SKIP() << "IDA_TRACE changes attribution values";
+    compareOrUpdate(fleetChunksLeg(), "backend_fleet_chunks.json");
 }
 
 } // namespace

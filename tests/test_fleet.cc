@@ -126,7 +126,8 @@ fleetConfig(std::uint32_t devices, int shards)
 TEST(Fleet, ByteIdenticalAcrossShardCountsAndRepeats)
 {
     // The acceptance bar: >= 16 devices, aggregate AND per-device JSON
-    // byte-identical at shards 1 / 2 / 8, and again on a repeat run.
+    // byte-identical at shards 1 / 2 / 8 / 16 (one per member), and
+    // again on a repeat run.
     const auto preset = fleetPreset(16);
     const std::string s1 =
         runFleetPreset(fleetConfig(16, 1), preset).toJson(false);
@@ -134,11 +135,14 @@ TEST(Fleet, ByteIdenticalAcrossShardCountsAndRepeats)
         runFleetPreset(fleetConfig(16, 2), preset).toJson(false);
     const std::string s8 =
         runFleetPreset(fleetConfig(16, 8), preset).toJson(false);
+    const std::string s16 =
+        runFleetPreset(fleetConfig(16, 16), preset).toJson(false);
     const std::string s2b =
         runFleetPreset(fleetConfig(16, 2), preset).toJson(false);
 
     EXPECT_EQ(s1, s2) << "--shards 1 vs 2 diverged";
     EXPECT_EQ(s1, s8) << "--shards 1 vs 8 diverged";
+    EXPECT_EQ(s1, s16) << "--shards 1 vs 16 diverged";
     EXPECT_EQ(s2, s2b) << "repeat run diverged";
     // The run did real work and never clamped a past-time event.
     EXPECT_NE(s1.find("\"pastSchedules\": 0"), std::string::npos);
