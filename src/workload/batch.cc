@@ -166,7 +166,6 @@ runMatrix(const std::vector<RunSpec> &specs, const BatchOptions &opts)
     out.jobs = jobs;
 
     ProgressReporter progress(specs.size(), opts.progress);
-    std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> failures{0};
 
     // Reject duplicate non-empty tags up front: the tag names the run in
@@ -191,42 +190,23 @@ runMatrix(const std::vector<RunSpec> &specs, const BatchOptions &opts)
         }
     }
 
-    auto worker = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= specs.size())
-                return;
-            if (!out.errors[i].empty())
-                continue; // rejected up front (duplicate tag)
-            const RunSpec &spec = specs[i];
-            try {
-                out.results[i] = runOne(spec, opts.reseedFromTag);
-                progress.done(spec.tag, out.results[i].wallSeconds);
-            } catch (const std::exception &e) {
-                out.errors[i] = e.what();
-                failures.fetch_add(1);
-                progress.failed(spec.tag, e.what());
-            } catch (...) {
-                out.errors[i] = "unknown exception";
-                failures.fetch_add(1);
-                progress.failed(spec.tag, "unknown exception");
-            }
+    runParallel(specs.size(), jobs, [&](std::size_t i) {
+        if (!out.errors[i].empty())
+            return; // rejected up front (duplicate tag)
+        const RunSpec &spec = specs[i];
+        try {
+            out.results[i] = runOne(spec, opts.reseedFromTag);
+            progress.done(spec.tag, out.results[i].wallSeconds);
+        } catch (const std::exception &e) {
+            out.errors[i] = e.what();
+            failures.fetch_add(1);
+            progress.failed(spec.tag, e.what());
+        } catch (...) {
+            out.errors[i] = "unknown exception";
+            failures.fetch_add(1);
+            progress.failed(spec.tag, "unknown exception");
         }
-    };
-
-    if (jobs == 1) {
-        // In-thread fast path: keeps single-job runs debuggable (no
-        // thread hop) and exactly reproduces the pooled results by the
-        // determinism contract.
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (int t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (auto &th : pool)
-            th.join();
-    }
+    });
 
     out.failed = failures.load();
     out.wallSeconds = std::chrono::duration<double>(

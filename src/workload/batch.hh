@@ -53,8 +53,12 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -148,6 +152,37 @@ int defaultJobs();
  * Malformed values are a user error (sim::fatal).
  */
 int jobsFromArgs(int argc, char **argv);
+
+/**
+ * Run task(i) once for every i in [0, count) on @p threads threads
+ * (clamped to [1, count]) that claim indices from one atomic counter.
+ * The calling thread takes one share, so threads == 1 runs every task
+ * in-thread, in index order. Returns when every task has returned.
+ * Tasks must not throw and must not depend on which thread runs them;
+ * this is the pool runMatrix runs its cells on and fleet::Fleet its
+ * member lanes.
+ */
+template <typename Task>
+void
+runParallel(std::size_t count, int threads, const Task &task)
+{
+    std::atomic<std::size_t> next{0};
+    const auto worker = [&] {
+        for (std::size_t i = next.fetch_add(1); i < count;
+             i = next.fetch_add(1))
+            task(i);
+    };
+    const std::size_t n = std::min<std::size_t>(
+        static_cast<std::size_t>(std::max(threads, 1)),
+        std::max<std::size_t>(count, 1));
+    std::vector<std::thread> pool;
+    pool.reserve(n - 1);
+    for (std::size_t t = 1; t < n; ++t)
+        pool.emplace_back(worker);
+    worker();
+    for (std::thread &th : pool)
+        th.join();
+}
 
 /**
  * Execute every spec, `opts.jobs` at a time.
