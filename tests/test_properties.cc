@@ -21,6 +21,14 @@ struct SchemeCase
     flash::CodingScheme (*make)();
 };
 
+// Print a case by its name: gtest's default dump of the raw bytes would
+// put pointer values, which move with ASLR, into the listed test names.
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class IdaLatencyProperty : public ::testing::TestWithParam<SchemeCase>
 {
 };
