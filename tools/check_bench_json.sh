@@ -6,13 +6,6 @@
 #   config (geometry/coding/build fingerprint object).
 # Grep-based on purpose: runs anywhere the tier-1 gate runs, no jq.
 #
-# The numeric field list above is perf_kernel's; other benches override
-# it via IDA_BENCH_FIELDS (space-separated names) and pick their gate
-# rate via IDA_BENCH_RATE_FIELD (default events_per_sec) — e.g.
-# fleet_throughput passes
-#   IDA_BENCH_FIELDS="fleet_ios_per_sec scaling_shards8 wall_ms"
-#   IDA_BENCH_RATE_FIELD=fleet_ios_per_sec
-#
 # With a baseline argument the script is also the perf regression gate:
 # the fresh record's events_per_sec must be no more than MAX_REGRESS_PCT
 # (default 20) percent below the baseline's. The comparison only runs
@@ -43,8 +36,7 @@ done
 
 # Numeric fields must be present and positive (a zero rate means the
 # benchmark's timer or counter is broken).
-FIELDS="${IDA_BENCH_FIELDS:-events_per_sec wall_ms}"
-for key in $FIELDS; do
+for key in events_per_sec wall_ms; do
     grep -Eq "\"$key\": [0-9]*\.?[0-9]+" "$FILE" || \
         fail "missing numeric field '$key'"
     grep -Eq "\"$key\": 0(\.0*)?[,}\n ]*\$" "$FILE" && \
@@ -79,7 +71,7 @@ if [ "$(fingerprint "$FILE")" != "$(fingerprint "$BASELINE")" ]; then
     exit 0
 fi
 
-RATE_FIELD="${IDA_BENCH_RATE_FIELD:-events_per_sec}"
+RATE_FIELD=events_per_sec
 rate() {
     grep -Eo "\"$RATE_FIELD\": [0-9.eE+-]+" "$1" | awk '{print $2}'
 }
