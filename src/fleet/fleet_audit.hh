@@ -4,8 +4,8 @@
  *
  * The single-device Auditor closes the gap between a device's layers;
  * a fleet adds one more seam: the boundary between the coordinator's
- * fleet-level accounting and the N member devices running on shard
- * threads. FleetAuditor audits both sides — it runs every member's
+ * fleet-level accounting and the N member devices running their lanes
+ * on the fleet's threads. FleetAuditor audits both sides — it runs every member's
  * full default catalog (audit::Auditor) and then checks the
  * conservation equations that span the shard boundaries:
  *
@@ -17,16 +17,16 @@
  *  - request conservation: submitted fleet requests == completed +
  *    open;
  *  - clock alignment: every member queue sits exactly on the fleet's
- *    epoch boundary (a device ahead of or behind the barrier would
- *    break conservative lookahead);
+ *    clock, the last chunk's end boundary (a device ahead of or behind
+ *    it would break conservative lookahead);
  *  - causality: no member queue ever counted a past-time schedule
  *    (under IDA_AUDIT the kernel panics before this check could see
  *    one; in default builds this is where a clamped horizon violation
  *    becomes visible).
  *
  * Like the device auditor, this is a debug tool: O(devices * pages)
- * per run, touches nothing, and must only run between epochs (the
- * members belong to the shard workers while Fleet::run is inside one).
+ * per run, touches nothing, and must only run between chunks (the
+ * members belong to their lane tasks while Fleet::run is inside one).
  */
 #pragma once
 

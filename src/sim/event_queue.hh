@@ -109,8 +109,9 @@ enum class PastSchedulePolicy { Clamp, Panic };
  * Not thread safe *within one queue*; each simulated device owns its
  * queue and is single threaded by design (determinism matters more than
  * wall-clock speed at this scale). Distinct queues may be driven from
- * distinct threads — the sharded fleet layer (src/fleet) runs one
- * device per shard-owned queue and synchronizes only at epoch barriers.
+ * distinct threads — the sharded fleet layer (src/fleet) runs each
+ * member's queue as one task per chunk of epochs, and its threads meet
+ * only at chunk boundaries.
  */
 class EventQueue
 {

@@ -7,9 +7,9 @@
  * translation unit:
  *
  *   - function definitions with their qualified names (namespace and
- *     class scopes are tracked, so an out-of-class `Fleet::shardMain`
+ *     class scopes are tracked, so an out-of-class `Fleet::runLane`
  *     inside `namespace ida::fleet` indexes as
- *     `ida::fleet::Fleet::shardMain`);
+ *     `ida::fleet::Fleet::runLane`);
  *   - call sites inside each body — plain calls, qualified calls,
  *     member calls through `.`/`->`, and calls made inside lambda
  *     bodies, which are attributed to the *defining* function (that is
@@ -77,8 +77,8 @@ struct CallSite
 /** One indexed function definition. */
 struct FunctionInfo
 {
-    std::string qualName; // ida::fleet::Fleet::shardMain
-    std::string lastName; // shardMain
+    std::string qualName; // ida::fleet::Fleet::runLane
+    std::string lastName; // runLane
     std::string file;     // root-relative path
     std::size_t nameLine = 0;
     std::size_t endLine = 0;
